@@ -42,15 +42,14 @@ import numpy as np
 
 import repro
 from repro.analysis.profile import RiskProfile
-from repro.beliefs.builders import uniform_width_belief
 from repro.data.fimi import read_fimi
+from repro.data.frequency import FrequencyGroups
 from repro.data.stats import describe
 from repro.datasets.registry import BENCHMARK_NAMES, load_benchmark
 from repro.errors import FormatError, ReproError
-from repro.graph.bipartite import space_from_frequencies
 from repro.io import assessment_to_json, load_json, save_json_atomic
 from repro.protect.planner import protect_to_tolerance
-from repro.recipe.assess import assess_risk
+from repro.recipe.assess import assess_risk, interval_space, interval_width
 from repro.recipe.report import full_report
 from repro.recipe.similarity import similarity_by_sampling
 
@@ -191,14 +190,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.report is not None:
             frequencies = source.frequencies()
-            delta = report.delta
-            if delta is None:
-                from repro.data.frequency import FrequencyGroups
-
-                delta = FrequencyGroups(frequencies).median_gap()
-            belief = uniform_width_belief(frequencies, delta)
-            space = space_from_frequencies(belief, frequencies)
-            profile = RiskProfile.from_space(space)
+            delta = interval_width(FrequencyGroups(frequencies), report.delta)
+            profile = RiskProfile.from_space(interval_space(frequencies, delta))
             with open(args.report, "w", encoding="utf-8") as handle:
                 handle.write(profile.to_markdown())
                 handle.write("\n")

@@ -19,8 +19,8 @@ models:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol, TypeVar
 
 import numpy as np
 
@@ -33,7 +33,15 @@ from repro.data.frequency import FrequencyGroups
 from repro.errors import BudgetExceeded, GraphError, InfeasibleMatchingError, RecipeError
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
 
-__all__ = ["AttackSummary", "Decision", "RiskAssessment", "assess_risk"]
+__all__ = [
+    "AttackSummary",
+    "Decision",
+    "RiskAssessment",
+    "StageRunner",
+    "assess_risk",
+    "interval_space",
+    "interval_width",
+]
 
 #: The interval rung upgrades from the O-estimate to the exact engine
 #: when the plan's cost hint stays below this (see
@@ -145,6 +153,25 @@ def _attack_summary(
         largest_block_before=before,
         largest_block_after=after,
     )
+
+
+def interval_width(groups: FrequencyGroups, delta: float | None = None) -> float:
+    """Step 4's interval half-width: *delta* when given, else ``delta_med``.
+
+    ``delta_med`` is the median gap between frequency groups.  A single
+    group has no gaps; its width is ``0`` (the point-valued belief), which
+    :func:`assess_risk` refuses in favour of an explicit *delta*.
+    """
+    if delta is not None:
+        return delta
+    return groups.median_gap() if len(groups) >= 2 else 0.0
+
+
+def interval_space(
+    frequencies: Mapping[Any, float], delta: float
+) -> FrequencyMappingSpace:
+    """Steps 3-5's space: the compliant belief of half-width *delta*."""
+    return space_from_frequencies(uniform_width_belief(frequencies, delta), frequencies)
 
 
 class Decision(enum.Enum):
@@ -272,6 +299,28 @@ class RiskAssessment:
         return "\n".join(lines)
 
 
+_T = TypeVar("_T")
+
+
+class StageRunner(Protocol):
+    """Runs one named stage of :func:`assess_risk`.
+
+    The stages are ``groups``, ``space``, ``oestimate``, ``exact``,
+    ``attack`` and ``alpha``.  *key* identifies the stage's result for a
+    fixed source (the interval width, the subset of interest); ``None``
+    means the result must not be memoized.  A runner must return what
+    ``compute()`` returns, or a result it stored for the same key.
+    """
+
+    def __call__(
+        self, name: str, key: Hashable | None, compute: Callable[[], _T]
+    ) -> _T: ...
+
+
+def _run_directly(name: str, key: Hashable | None, compute: Callable[[], _T]) -> _T:
+    return compute()
+
+
 def assess_risk(
     source: FrequencySource,
     tolerance: float,
@@ -280,6 +329,7 @@ def assess_risk(
     rng: np.random.Generator | None = None,
     interest: "Iterable | None" = None,
     budget: ComputeBudget | None = None,
+    run_stage: StageRunner | None = None,
 ) -> RiskAssessment:
     """Run the Assess-Risk recipe (Figure 8) on a database or profile.
 
@@ -310,11 +360,20 @@ def assess_risk(
         :class:`~repro.budget.PartialEstimate` instead of raising; when
         nothing is ready yet, :class:`~repro.errors.BudgetExceeded`
         propagates with ``partial=None``.
+    run_stage:
+        Optional :class:`StageRunner` through which every stage runs —
+        the service engine memoizes and times stages with it.  Without
+        one, each stage simply runs.
     """
     if not 0.0 <= tolerance <= 1.0:
         raise RecipeError(f"tolerance must be in [0, 1], got {tolerance}")
-    frequencies = source.frequencies()
-    groups = FrequencyGroups(frequencies)
+    run = _run_directly if run_stage is None else run_stage
+
+    def groups_stage() -> tuple[dict, FrequencyGroups]:
+        frequencies = source.frequencies()
+        return frequencies, FrequencyGroups(frequencies)
+
+    frequencies, groups = run("groups", (), groups_stage)
     n = len(frequencies)
     g = len(groups)
     if interest is not None:
@@ -344,35 +403,36 @@ def assess_risk(
     # Nothing is bounded yet, so exhaustion here propagates partial-less.
     if budget is not None:
         budget.poll()
-    if delta is None:
-        if g < 2:
-            raise RecipeError(
-                "a single frequency group has no gaps; pass delta explicitly"
-            )
-        delta = groups.median_gap()
-    belief = uniform_width_belief(frequencies, delta)
-    space = space_from_frequencies(belief, frequencies)
+    if delta is None and g < 2:
+        raise RecipeError(
+            "a single frequency group has no gaps; pass delta explicitly"
+        )
+    width = interval_width(groups, delta)
+    space = run("space", (width,), lambda: interval_space(frequencies, width))
 
     # Steps 6-7: the fully compliant O-estimate decides (Figure 8); the
     # structure-exploiting engine additionally reports the *exact*
     # expected cracks whenever it has a cheap plan (interval beliefs
     # usually do — see docs/exact.md), exposing the O-estimate's bias.
-    estimate = o_estimate(space, interest=interest)
-    exact_cracks, exact_strategy_name = _try_exact_interval(space, interest, budget)
-    attack = _attack_summary(space, budget)
+    estimate = run("oestimate", None, lambda: o_estimate(space, interest=interest))
+    exact_cracks, exact_strategy_name = run(
+        "exact", (width, interest), lambda: _try_exact_interval(space, interest, budget)
+    )
+    attack = run("attack", (width,), lambda: _attack_summary(space, budget))
+    interval = RiskAssessment(
+        decision=Decision.DISCLOSE_INTERVAL,
+        tolerance=tolerance,
+        n_items=n,
+        g=g,
+        delta=width,
+        interval_estimate=estimate,
+        interest=interest,
+        exact_cracks=exact_cracks,
+        exact_strategy=exact_strategy_name,
+        attack=attack,
+    )
     if estimate.value <= tolerance * basis:
-        return RiskAssessment(
-            decision=Decision.DISCLOSE_INTERVAL,
-            tolerance=tolerance,
-            n_items=n,
-            g=g,
-            delta=delta,
-            interval_estimate=estimate,
-            interest=interest,
-            exact_cracks=exact_cracks,
-            exact_strategy=exact_strategy_name,
-            attack=attack,
-        )
+        return interval
 
     # Steps 8-9: search for the largest tolerable degree of compliancy.
     # The interval rung's O-estimate is a bounded answer, so exhaustion
@@ -380,7 +440,13 @@ def assess_risk(
     try:
         if budget is not None:
             budget.poll()
-        alpha = compute_alpha_max(space, tolerance, runs=runs, rng=rng, interest=interest)
+        alpha = run(
+            "alpha",
+            None,
+            lambda: compute_alpha_max(
+                space, tolerance, runs=runs, rng=rng, interest=interest
+            ),
+        )
     except BudgetExceeded as exc:
         partial = exc.partial if isinstance(exc.partial, PartialEstimate) else (
             PartialEstimate(
@@ -391,30 +457,5 @@ def assess_risk(
                 reason=exc.reason,
             )
         )
-        return RiskAssessment(
-            decision=Decision.INCONCLUSIVE,
-            tolerance=tolerance,
-            n_items=n,
-            g=g,
-            delta=delta,
-            interval_estimate=estimate,
-            interest=interest,
-            exact_cracks=exact_cracks,
-            exact_strategy=exact_strategy_name,
-            partial_estimate=partial,
-            attack=attack,
-        )
-    return RiskAssessment(
-        decision=Decision.ALPHA_BOUND,
-        tolerance=tolerance,
-        n_items=n,
-        g=g,
-        delta=delta,
-        interval_estimate=estimate,
-        alpha_max=alpha,
-        interest=interest,
-        runs=runs,
-        exact_cracks=exact_cracks,
-        exact_strategy=exact_strategy_name,
-        attack=attack,
-    )
+        return replace(interval, decision=Decision.INCONCLUSIVE, partial_estimate=partial)
+    return replace(interval, decision=Decision.ALPHA_BOUND, alpha_max=alpha, runs=runs)

@@ -12,14 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.profile import RiskProfile
-from repro.beliefs.builders import uniform_width_belief
 from repro.data.database import FrequencySource
 from repro.data.frequency import FrequencyGroups
 from repro.data.stats import describe
 from repro.errors import DataError
-from repro.graph.bipartite import space_from_frequencies
 from repro.protect.planner import protect_to_tolerance
-from repro.recipe.assess import RiskAssessment, assess_risk
+from repro.recipe.assess import RiskAssessment, assess_risk, interval_space, interval_width
 from repro.recipe.similarity import similarity_by_sampling
 
 __all__ = ["full_report"]
@@ -111,12 +109,8 @@ def full_report(
     sections += _assessment_section(assessment)
 
     frequencies = source.frequencies()
-    delta = assessment.delta
-    if delta is None:
-        groups = FrequencyGroups(frequencies)
-        delta = groups.median_gap() if len(groups) >= 2 else 0.0
-    space = space_from_frequencies(uniform_width_belief(frequencies, delta), frequencies)
-    profile = RiskProfile.from_space(space)
+    delta = interval_width(FrequencyGroups(frequencies), assessment.delta)
+    profile = RiskProfile.from_space(interval_space(frequencies, delta))
     sections += [profile.to_markdown(top_k=top_k), ""]
 
     sections += _similarity_section(source, sample_fractions, rng, assessment.alpha_max)

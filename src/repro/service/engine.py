@@ -8,19 +8,18 @@ server-grade component:
   :func:`~repro.service.fingerprint.request_fingerprint`; a repeated
   question is a dictionary lookup (plus an optional disk tier, see
   :class:`~repro.service.cache.AssessmentCache`).
-* **Shared intermediates** — the expensive inputs of the recipe stages
-  (:class:`FrequencyGroups` per profile; belief + bipartite
-  :class:`MappingSpace` per ``(profile, delta)``) are memoized, so a
-  tolerance sweep over one release, or a batch of requests against the
-  same data, builds them once.
+* **Shared intermediates** — the engine runs the recipe through its
+  stage hook (:class:`~repro.recipe.assess.StageRunner`) and memoizes
+  the stages that do not depend on the tolerance: the
+  :class:`FrequencyGroups` per profile, and the bipartite space, the
+  exact-engine result and the attack summary per ``(profile,
+  delta[, interest])``.  A tolerance sweep over one release, or a batch
+  of requests against the same data, computes them once.
 * **Deterministic randomness** — the alpha stage's RNG is seeded from
   the request fingerprint (:func:`~repro.service.fingerprint.derived_seed`),
   so the same question yields byte-identical JSON whether it runs
   inline, through :meth:`assess_many` with one worker, or fanned out
   across a process pool.
-
-The per-stage arithmetic deliberately mirrors ``assess_risk`` line for
-line; ``tests/test_service.py`` pins the equivalence.
 """
 
 from __future__ import annotations
@@ -29,25 +28,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Generic, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterable, Sequence, TypeVar, cast
 
 import numpy as np
 
-from repro.beliefs.builders import uniform_width_belief
-from repro.budget import ComputeBudget, PartialEstimate
-from repro.core.alpha import alpha_max as compute_alpha_max
-from repro.core.oestimate import o_estimate
+from repro.budget import ComputeBudget
 from repro.data.database import FrequencyProfile, FrequencySource
-from repro.data.frequency import FrequencyGroups
-from repro.errors import BudgetExceeded, RecipeError, ReproError
-from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
-from repro.recipe.assess import (
-    AttackSummary,
-    Decision,
-    RiskAssessment,
-    _attack_summary,
-    _try_exact_interval,
-)
+from repro.errors import ReproError
+from repro.recipe.assess import RiskAssessment, assess_risk
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import AssessmentCache
 from repro.service.faults import fault_point
@@ -95,6 +83,11 @@ class BatchResult:
 
 _K = TypeVar("_K")
 _V = TypeVar("_V")
+_T = TypeVar("_T")
+
+#: Marks a memo miss, so that a memoized ``None`` (a skipped attack
+#: summary) still counts as a hit.
+_MISS: Any = object()
 
 
 class _LRU(Generic[_K, _V]):
@@ -105,12 +98,12 @@ class _LRU(Generic[_K, _V]):
         self._lock = threading.Lock()
         self._data: OrderedDict[_K, _V] = OrderedDict()
 
-    def get(self, key: _K) -> _V | None:
+    def get(self, key: _K, default: _V | None = None) -> _V | None:
         with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
+            if key not in self._data:
+                return default
+            self._data.move_to_end(key)
+            return self._data[key]
 
     def put(self, key: _K, value: _V) -> None:
         with self._lock:
@@ -118,6 +111,21 @@ class _LRU(Generic[_K, _V]):
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
+
+
+def _budget_independent(name: str, value: Any) -> bool:
+    """Whether a stage result computed under a deadline may be memoized.
+
+    The exact and attack stages degrade to "skipped" when the budget
+    runs out, which a budget-free run might not have done; only a result
+    naming an exact strategy, or an attack summary that exists, is a
+    property of the instance.
+    """
+    if name == "exact":
+        return value[1] is not None
+    if name == "attack":
+        return value is not None
+    return True
 
 
 def _as_profile(source: FrequencySource) -> FrequencyProfile:
@@ -142,19 +150,13 @@ class AssessmentEngine:
         Shared :class:`ServiceMetrics`; defaults to a private instance.
     max_profiles, max_spaces:
         Bounds on the memoized intermediates (frequency groups per
-        profile; belief/space per ``(profile, delta)``).
+        profile; space, exact-engine result and attack summary per
+        ``(profile, delta)``).
     breaker:
         Circuit breaker guarding the serial compute path; defaults to a
         fresh :class:`~repro.service.breaker.CircuitBreaker` sharing the
         engine's metrics.  Pool workers are separate processes and are
         deliberately outside the breaker.
-    reuse_exact_intermediates:
-        Memoize the exact-engine marginals and the attack summary per
-        ``(profile, delta, interest)``.  Both depend only on the space —
-        not on the tolerance — so a tolerance sweep re-derives the
-        decision per tolerance while solving the hard counting problems
-        once.  On by default; disable to force every request to re-solve
-        (benchmarking, memory-constrained deployments).
     """
 
     def __init__(
@@ -164,24 +166,23 @@ class AssessmentEngine:
         max_profiles: int = 16,
         max_spaces: int = 8,
         breaker: CircuitBreaker | None = None,
-        reuse_exact_intermediates: bool = True,
     ) -> None:
         self.cache = AssessmentCache() if cache is None else cache
         self.metrics = ServiceMetrics() if metrics is None else metrics
         self.breaker = (
             CircuitBreaker(metrics=self.metrics) if breaker is None else breaker
         )
-        self.reuse_exact_intermediates = reuse_exact_intermediates
-        self._profiles: _LRU[str, tuple[dict[Any, float], FrequencyGroups]] = _LRU(
-            max_profiles
-        )
-        self._spaces: _LRU[tuple[str, float], FrequencyMappingSpace] = _LRU(max_spaces)
-        self._exact: _LRU[
-            tuple[str, float, frozenset[Any] | None], tuple[float | None, str | None]
-        ] = _LRU(max_spaces * 4)
-        self._attacks: _LRU[tuple[str, float], AttackSummary | None] = _LRU(
-            max_spaces * 4
-        )
+        # Recipe stage -> memo keyed by (profile fingerprint, stage key).
+        # The exact marginals and the attack summary depend only on the
+        # space, not on the tolerance, so a tolerance sweep re-derives
+        # the decision per tolerance while solving the hard counting
+        # problems once.
+        self._memos: dict[str, _LRU[Hashable, Any]] = {
+            "groups": _LRU(max_profiles),
+            "space": _LRU(max_spaces),
+            "exact": _LRU(max_spaces * 4),
+            "attack": _LRU(max_spaces * 4),
+        }
         # id() -> (profile, fingerprint).  Holding the profile keeps its
         # id() valid for as long as the entry lives, so re-assessing the
         # same object (sweeps, repeated server hits) skips the content
@@ -533,31 +534,35 @@ class AssessmentEngine:
         self._fingerprints.put(key, (profile, fingerprint))
         return fingerprint
 
-    def _profile_state(
-        self, profile: FrequencyProfile
-    ) -> tuple[str, dict[Any, float], FrequencyGroups]:
-        key = self._profile_fp(profile)
-        state = self._profiles.get(key)
-        if state is None:
-            with self.metrics.timer("stage:groups"):
-                frequencies = profile.frequencies()
-                state = (frequencies, FrequencyGroups(frequencies))
-            self._profiles.put(key, state)
-        return key, state[0], state[1]
-
-    def _space_state(
-        self, profile_key: str, frequencies: dict[Any, float], delta: float
-    ) -> FrequencyMappingSpace:
-        key = (profile_key, delta)
-        space = self._spaces.get(key)
-        if space is None:
-            with self.metrics.timer("stage:space"):
-                belief = uniform_width_belief(frequencies, delta)
-                space = space_from_frequencies(belief, frequencies)
-            self._spaces.put(key, space)
-        return space
-
-    # -- the recipe, stage by stage ---------------------------------------
+    def _run_stage(
+        self,
+        profile_key: str,
+        budget: ComputeBudget | None,
+        name: str,
+        key: Hashable | None,
+        compute: Callable[[], _T],
+    ) -> _T:
+        """Run one recipe stage through the engine's memos and timers."""
+        memo = None if key is None else self._memos.get(name)
+        memo_key = (profile_key, key)
+        value: Any = _MISS if memo is None else memo.get(memo_key, _MISS)
+        if value is _MISS:
+            with self.metrics.timer(f"stage:{name}"):
+                value = compute()
+            if memo is not None and (
+                budget is None or _budget_independent(name, value)
+            ):
+                memo.put(memo_key, value)
+        elif name in ("exact", "attack"):
+            self.metrics.increment(f"{name}_memo_hits")
+        if name == "exact":
+            strategy = value[1]
+            if strategy is not None:
+                self.metrics.increment("exact_served")
+                self.metrics.increment(f"exact:{strategy}")
+            else:
+                self.metrics.increment("exact_skipped")
+        return cast(_T, value)
 
     def _compute(
         self,
@@ -569,143 +574,19 @@ class AssessmentEngine:
         fault_point("engine.compute")
         if budget is not None:
             budget.poll()
-        profile_key, frequencies, groups = self._profile_state(profile)
-        n = len(frequencies)
-        g = len(groups)
-        interest = params.interest
-        basis = n if interest is None else len(interest)
-        tolerance = params.tolerance
+        profile_key = self._profile_fp(profile)
 
-        # Steps 1-2: point-valued worst case (Lemma 3 / Lemma 4).
-        if interest is None:
-            point_valued = float(g)
-        else:
-            from repro.core.exact import expected_cracks_point_valued_subset
+        def run_stage(name: str, key: Hashable | None, compute: Callable[[], _T]) -> _T:
+            return self._run_stage(profile_key, budget, name, key, compute)
 
-            point_valued = expected_cracks_point_valued_subset(groups, interest)
-        if point_valued <= tolerance * basis:
-            return RiskAssessment(
-                decision=Decision.DISCLOSE_POINT_VALUED,
-                tolerance=tolerance,
-                n_items=n,
-                g=g,
-                interest=interest,
-            )
-
-        # Steps 3-5: compliant interval belief with the median-gap width.
-        delta = params.delta
-        if delta is None:
-            if g < 2:
-                raise RecipeError(
-                    "a single frequency group has no gaps; pass delta explicitly"
-                )
-            delta = groups.median_gap()
-        space = self._space_state(profile_key, frequencies, delta)
-
-        # Steps 6-7: the fully compliant O-estimate decides; the exact
-        # engine additionally serves ground truth when its plan is cheap.
-        if budget is not None:
-            budget.poll()
-        with self.metrics.timer("stage:oestimate"):
-            estimate = o_estimate(space, interest=interest)
-        exact_key = (profile_key, delta, interest)
-        exact_state = (
-            self._exact.get(exact_key) if self.reuse_exact_intermediates else None
-        )
-        if exact_state is not None:
-            exact_cracks, exact_strategy_name = exact_state
-            self.metrics.increment("exact_memo_hits")
-        else:
-            with self.metrics.timer("stage:exact"):
-                exact_cracks, exact_strategy_name = _try_exact_interval(
-                    space, interest, budget
-                )
-            # A (None, None) under a deadline may be budget-caused, not a
-            # property of the instance — only memoize what a budget-free
-            # run would also have produced.
-            if self.reuse_exact_intermediates and (
-                budget is None or exact_strategy_name is not None
-            ):
-                self._exact.put(exact_key, (exact_cracks, exact_strategy_name))
-        if exact_strategy_name is not None:
-            self.metrics.increment("exact_served")
-            self.metrics.increment(f"exact:{exact_strategy_name}")
-        else:
-            self.metrics.increment("exact_skipped")
-        attack_key = (profile_key, delta)
-        attack = (
-            self._attacks.get(attack_key) if self.reuse_exact_intermediates else None
-        )
-        if attack is None:
-            with self.metrics.timer("stage:attack"):
-                attack = _attack_summary(space, budget)
-            if self.reuse_exact_intermediates and (
-                budget is None or attack is not None
-            ):
-                self._attacks.put(attack_key, attack)
-        else:
-            self.metrics.increment("attack_memo_hits")
-        if estimate.value <= tolerance * basis:
-            return RiskAssessment(
-                decision=Decision.DISCLOSE_INTERVAL,
-                tolerance=tolerance,
-                n_items=n,
-                g=g,
-                delta=delta,
-                interval_estimate=estimate,
-                interest=interest,
-                exact_cracks=exact_cracks,
-                exact_strategy=exact_strategy_name,
-                attack=attack,
-            )
-
-        # Steps 8-9: largest tolerable degree of compliancy, with the
-        # RNG pinned to the request fingerprint for reproducibility.
-        # The interval rung's O-estimate is bounded, so budget exhaustion
-        # from here on degrades to an INCONCLUSIVE partial assessment
-        # instead of failing the request.
-        try:
-            if budget is not None:
-                budget.poll()
-            rng = np.random.default_rng(derived_seed(fingerprint))
-            with self.metrics.timer("stage:alpha"):
-                alpha = compute_alpha_max(
-                    space, tolerance, runs=params.runs, rng=rng, interest=interest
-                )
-        except BudgetExceeded as exc:
-            partial = exc.partial if isinstance(exc.partial, PartialEstimate) else (
-                PartialEstimate(
-                    value=float(estimate.value),
-                    std_error=0.0,
-                    sweeps_completed=0,
-                    rung="o-estimate",
-                    reason=exc.reason,
-                )
-            )
-            return RiskAssessment(
-                decision=Decision.INCONCLUSIVE,
-                tolerance=tolerance,
-                n_items=n,
-                g=g,
-                delta=delta,
-                interval_estimate=estimate,
-                interest=interest,
-                exact_cracks=exact_cracks,
-                exact_strategy=exact_strategy_name,
-                partial_estimate=partial,
-                attack=attack,
-            )
-        return RiskAssessment(
-            decision=Decision.ALPHA_BOUND,
-            tolerance=tolerance,
-            n_items=n,
-            g=g,
-            delta=delta,
-            interval_estimate=estimate,
-            alpha_max=alpha,
-            interest=interest,
+        # The alpha stage's RNG is pinned to the request fingerprint.
+        return assess_risk(
+            profile,
+            params.tolerance,
+            delta=params.delta,
             runs=params.runs,
-            exact_cracks=exact_cracks,
-            exact_strategy=exact_strategy_name,
-            attack=attack,
+            rng=np.random.default_rng(derived_seed(fingerprint)),
+            interest=params.interest,
+            budget=budget,
+            run_stage=run_stage,
         )

@@ -68,6 +68,19 @@ class TestMain:
         assert code == 0
         assert "# Disclosure risk profile" in path.read_text()
 
+    def test_report_on_single_frequency_group(self, tmp_path, capsys):
+        # Regression: the recipe discloses at Step 2, and the report used
+        # to recompute the median gap and fail for want of a second group.
+        data = tmp_path / "one.dat"
+        data.write_text("1 2\n1 2\n1 2\n")
+        path = tmp_path / "risk.md"
+        code = main(
+            ["--fimi", str(data), "--tolerance", "1.0", "--report", str(path)]
+        )
+        assert code == 0
+        assert "# Disclosure risk profile" in path.read_text()
+        assert "error" not in capsys.readouterr().err
+
     def test_assessment_saved(self, tmp_path, capsys):
         from repro.io import assessment_from_json, load_json
 

@@ -210,6 +210,17 @@ class TestEngine:
             fresh = AssessmentEngine().assess(profile, tolerance)
             assert outcome.assessment == fresh.assessment
 
+    def test_skipped_attack_summary_is_memoized(self, profile, monkeypatch):
+        # Regression: a memoized ``None`` (the edge guard skipped the
+        # summary) used to read as a miss, so every tolerance re-ran it.
+        monkeypatch.setattr("repro.recipe.assess.ATTACK_SUMMARY_MAX_EDGES", 1)
+        engine = AssessmentEngine()
+        outcomes = engine.sweep_tolerance(profile, [0.05, 0.1])
+        assert [outcome.assessment.attack for outcome in outcomes] == [None, None]
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["timers"]["stage:attack"]["count"] == 1
+        assert snapshot["counters"]["attack_memo_hits"] == 1
+
     def test_single_group_without_delta_raises(self):
         flat = FrequencyProfile({i: 50 for i in range(1, 6)}, 100)
         with pytest.raises(RecipeError, match="delta"):
