@@ -35,13 +35,9 @@ __all__ = [
 CONCURRENCY_SCOPE = ("repro.service", "repro.attack.solver")
 
 #: Functions that run concurrently even without an explicit
-#: ``threading.Thread(target=...)`` spawn: both HTTP front ends call
-#: ``ServiceCore.dispatch`` from many handler threads at once.
-THREAD_ROOT_SUFFIXES = (
-    "ServiceCore.dispatch",
-    "._AssessmentHandler.do_GET",
-    "._AssessmentHandler.do_POST",
-)
+#: ``threading.Thread(target=...)`` spawn: the HTTP front end calls
+#: ``ServiceCore.dispatch`` from many executor threads at once.
+THREAD_ROOT_SUFFIXES = ("ServiceCore.dispatch",)
 
 
 class FlowProgram:

@@ -21,15 +21,13 @@ parallel engine with an HTTP front end:
 * :mod:`repro.service.admission` — bounded admission control (inflight
   slots + waiting queue + load shedding) for the HTTP front end.
 * :mod:`repro.service.routes` — the transport-agnostic route layer
-  (validation, error mapping, per-route metrics) shared by both HTTP
-  front ends.
-* :mod:`repro.service.server` — the threaded ``http.server`` JSON API
-  (``POST /assess``, ``GET /healthz``, ``GET /metrics``) with HTTP/1.1
-  keep-alive, structured errors, per-request deadlines and graceful
-  signal-driven shutdown.
-* :mod:`repro.service.aio` — the asyncio flavor of the same API
-  (``repro-serve --async``): one event loop, keep-alive + pipelining,
-  engine work on a bounded thread executor.
+  (validation, error mapping, per-route metrics) behind the HTTP front
+  end.
+* :mod:`repro.service.server` — the asyncio JSON API (``POST /assess``,
+  ``POST /crack/step``, ``GET /healthz``, ``GET /metrics``): one event
+  loop with HTTP/1.1 keep-alive and pipelining, engine work on a thread
+  executor sized from the admission limits, and graceful signal-driven
+  shutdown.
 * :mod:`repro.service.lease` — cross-process single-flight lease files
   for the shared cache tier (N replicas, one directory, one compute per
   cold fingerprint).
@@ -76,12 +74,7 @@ from repro.service.fingerprint import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import run_batch
 from repro.service.routes import RouteResponse, ServiceCore
-from repro.service.server import (
-    AssessmentServer,
-    make_server,
-    run_until_signal,
-    serve,
-)
+from repro.service.server import AssessmentServer, serve
 from repro.service.supervisor import (
     ReplicaSupervisor,
     RestartPolicy,
@@ -121,11 +114,9 @@ __all__ = [
     "fault_point",
     "injected_faults",
     "load_schedule",
-    "make_server",
     "profile_fingerprint",
     "request_fingerprint",
     "run_batch",
-    "run_until_signal",
     "serve",
     "verify_run",
 ]

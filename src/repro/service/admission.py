@@ -1,9 +1,8 @@
 """Bounded admission control for the HTTP front end.
 
-A :class:`ThreadingHTTPServer` accepts every connection and gives each
-its own thread, so under overload the process accumulates unbounded
-concurrent computations until nothing finishes.  The
-:class:`AdmissionController` bounds the damage:
+The server accepts every connection it is offered, so without a bound
+an overloaded process would pile up concurrent computations until
+nothing finishes.  The :class:`AdmissionController` bounds the damage:
 
 * at most ``max_inflight`` assessments compute concurrently;
 * at most ``max_queue`` more wait (FIFO via condition-variable
@@ -12,6 +11,10 @@ concurrent computations until nothing finishes.  The
 * beyond that, requests are *shed* immediately (HTTP 429), because a
   client is better served by an instant retry signal than by a request
   parked on a doomed queue.
+
+The server sizes its dispatch executor from ``max_inflight`` and
+``max_queue`` (plus headroom), so every excess request reaches the
+controller and is shed rather than waiting unseen in front of it.
 
 The ``inflight`` / ``queued`` gauges and the ``shed`` counter (on the
 engine's :class:`~repro.service.metrics.ServiceMetrics`) expose the

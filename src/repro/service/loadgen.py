@@ -2,23 +2,21 @@
 
 Answers the question the engine benchmarks cannot: how many requests
 per second does the *system* sustain, at what latency, under which
-server flavor and replica topology?  The harness:
+replica topology?  The harness:
 
 * generates fingerprint-skewed traffic — a seeded mix of small
   synthetic profiles sampled from a Zipf distribution, so a few
   fingerprints are hot (cache-friendly) and a long tail is cold, the
   shape real content-addressed caches see;
-* launches real ``repro-serve`` subprocesses (threaded or ``--async``,
-  1..N replicas, optionally sharing one ``--cache-dir`` in
-  ``--shared-cache`` mode) and parses their startup banner for the
-  bound port;
+* launches real ``repro-serve`` subprocesses (1..N replicas, optionally
+  sharing one ``--cache-dir`` in ``--shared-cache`` mode) and parses
+  their startup banner for the bound port;
 * drives them over real sockets with K concurrent keep-alive
   connections from a single-threaded asyncio client (one thread, so on
-  a small host the measured difference between server flavors is the
-  servers', not the client's);
+  a small host the client does not crowd out the servers it measures);
 * cross-checks its client-side percentiles against the server's own
   ``/metrics`` latency histograms and cache counters;
-* appends one run record per (flavor × replicas × connections) cell to
+* appends one run record per (replicas × connections) cell to
   the tracked ``BENCH_service.json`` trajectory.
 
 The same seed replays the same request sequence — per-connection
@@ -139,7 +137,7 @@ def request_stream(
 class ReplicaPool:
     """N real ``repro-serve`` subprocesses behind a replica supervisor.
 
-    The pool owns topology (flavor, cache flags, fault schedules) and
+    The pool owns topology (replica count, cache flags, fault schedules) and
     delegates lifecycle to :class:`~repro.service.supervisor.
     ReplicaSupervisor`: ports are banner-parsed on first launch and
     pinned across restarts, shutdown escalates SIGTERM→SIGKILL.  Plain
@@ -151,7 +149,6 @@ class ReplicaPool:
     def __init__(
         self,
         count: int = 1,
-        flavor: str = "threaded",
         cache_dir: Path | None = None,
         shared: bool = False,
         max_inflight: int = 8,
@@ -163,9 +160,6 @@ class ReplicaPool:
         policy: RestartPolicy | None = None,
         seed: int = 0,
     ) -> None:
-        if flavor not in ("threaded", "async"):
-            raise ReproError(f"unknown server flavor {flavor!r}")
-        self.flavor = flavor
         self.count = count
         self.cache_dir = cache_dir
         self.shared = shared
@@ -201,8 +195,6 @@ class ReplicaPool:
             "--max-inflight", str(self.max_inflight),
             "--max-queue", str(self.max_queue),
         ]
-        if self.flavor == "async":
-            args.append("--async")
         if self.cache_dir is not None:
             args += ["--cache-dir", str(self.cache_dir)]
         if self.shared:
@@ -220,7 +212,7 @@ class ReplicaPool:
         """Spawn one ``repro-serve`` and banner-parse its bound port.
 
         The first incarnation binds port 0 (ephemeral); restarts re-bind
-        the replica's original port (``SO_REUSEADDR`` on both flavors),
+        the replica's original port (the server sets ``SO_REUSEADDR``),
         so clients keep one stable address per replica.
         """
         env = dict(os.environ)
@@ -412,9 +404,8 @@ async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One measured (flavor × replicas × connections) cell."""
+    """One measured (replicas × connections) cell."""
 
-    flavor: str
     replicas: int
     connections: int
     requests: int
@@ -431,7 +422,6 @@ class CellResult:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "flavor": self.flavor,
             "replicas": self.replicas,
             "connections": self.connections,
             "requests": self.requests,
@@ -536,7 +526,6 @@ def run_cell(
     coalesced = sum(int(s["cache"]["coalesced"]) for s in snapshots)
     total_lookups = hits + misses
     return CellResult(
-        flavor=pool.flavor,
         replicas=len(pool.ports),
         connections=connections,
         requests=requests,
@@ -558,7 +547,6 @@ def run_shared_cache_trial(
     spec: WorkloadSpec,
     replicas: int = 2,
     connections: int = 8,
-    flavor: str = "threaded",
     duration_seconds: float = 5.0,
 ) -> dict[str, Any]:
     """Cold-start *replicas* processes on one cache directory and race them.
@@ -569,9 +557,7 @@ def run_shared_cache_trial(
     counters.
     """
     payloads = build_payloads(spec)
-    with ReplicaPool(
-        count=replicas, flavor=flavor, cache_dir=cache_dir, shared=True
-    ) as pool:
+    with ReplicaPool(count=replicas, cache_dir=cache_dir, shared=True) as pool:
         stats, elapsed = asyncio.run(
             _run_clients(
                 pool.ports, payloads, spec, connections, duration_seconds,
@@ -587,7 +573,6 @@ def run_shared_cache_trial(
     artifacts = sorted(p.name for p in Path(cache_dir).glob("*.json"))
     requests = sum(stats.statuses.values())
     return {
-        "flavor": flavor,
         "replicas": replicas,
         "connections": connections,
         "requests": requests,

@@ -1,23 +1,20 @@
-"""Transport-agnostic route layer shared by both HTTP front ends.
+"""Transport-agnostic route layer behind the HTTP front end.
 
-The threaded server (:mod:`repro.service.server`) and the asyncio
-server (:mod:`repro.service.aio`) speak different socket dialects but
-answer the same four routes with the same semantics.  Everything that
-is *not* socket plumbing lives here, in :class:`ServiceCore`:
+The server (:mod:`repro.service.server`) owns sockets and HTTP framing;
+everything that is *not* socket plumbing lives here, in
+:class:`ServiceCore`:
 
 * request validation and the ``400/404/422/429/500/503`` error mapping,
-* admission control (one :class:`AdmissionController` per core, shared
-  by every transport mounted on it),
+* admission control (one :class:`AdmissionController` per core),
 * the in-flight gauge and graceful-drain accounting,
 * per-route request counters and latency histograms (the server-side
   cross-check for ``repro-loadgen``'s client-side percentiles).
 
-A transport parses one request off its socket, calls
+The server parses one request off its socket, calls
 :meth:`ServiceCore.dispatch`, and writes the returned
-:class:`RouteResponse` back in its own framing.  Keeping dispatch
-synchronous is deliberate: the asyncio front end runs it on a bounded
-thread executor, the threaded front end runs it on the handler thread,
-and both get identical behaviour from one implementation.
+:class:`RouteResponse` back.  Dispatch is synchronous and thread-safe:
+the server runs it on a thread executor, and tests and the serving
+benchmark call it in-process without any socket.
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ def _error(
 
 
 class ServiceCore:
-    """Shared dispatch for every HTTP front end mounted on one engine."""
+    """Route dispatch, admission and request accounting over one engine."""
 
     def __init__(
         self,

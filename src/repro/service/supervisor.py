@@ -7,7 +7,7 @@ expects the fleet to heal.  This module owns that lifecycle:
 
 * :class:`ReplicaSupervisor` polls every replica (``tick``), restarts a
   dead one after an exponential backoff with deterministic jitter, and
-  re-binds the replica's *original* port (both server flavors set
+  re-binds the replica's *original* port (the server sets
   ``SO_REUSEADDR``), so clients keep a fixed address per replica and
   simply reconnect.
 * A replica that dies ``crash_loop_threshold`` times within

@@ -741,7 +741,7 @@ class TestKilledReplicaReconnect:
         spec = WorkloadSpec(profiles=4, zipf_s=0.5, seed=1)
         payloads = build_payloads(spec)
         stats = _ClientStats()
-        with ReplicaPool(count=1, flavor="threaded", supervise=True) as pool:
+        with ReplicaPool(count=1, supervise=True) as pool:
             port = pool.ports[0]
 
             async def run():

@@ -34,7 +34,6 @@ from repro.service import (
     InjectedCrash,
     injected_faults,
     load_schedule,
-    make_server,
     request_fingerprint,
     run_batch,
 )
@@ -562,14 +561,9 @@ class TestBatchCLIFaults:
 
 
 @pytest.fixture
-def live_server():
-    server = make_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+def live_server(start_server):
+    server = start_server()
+    return server, server.url
 
 
 def _post(url, payload):
@@ -601,11 +595,9 @@ class TestServerFaults:
         status, answer = _post(f"{url}/assess", payload)
         assert status == 200 and not answer["cached"]
 
-    def test_graceful_shutdown_drains_inflight_requests(self, profile):
-        server = make_server(host="127.0.0.1", port=0)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    def test_graceful_shutdown_drains_inflight_requests(self, profile, start_server):
+        server = start_server()
+        url = server.url
         responses = []
 
         def slow_request():
@@ -629,7 +621,6 @@ class TestServerFaults:
         assert responses and responses[0][0] == 200
         assert server.inflight_requests() == 0
         assert server.engine.metrics.gauge("inflight_requests") == 0
-        thread.join(timeout=5)
 
     def test_sigterm_shuts_repro_serve_down_cleanly(self, tmp_path):
         env = dict(os.environ)

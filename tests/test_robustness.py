@@ -39,7 +39,6 @@ from repro.service import (
     InjectedCrash,
     QueueFullError,
     injected_faults,
-    make_server,
 )
 from repro.service import faults as faults_module
 from repro.service.metrics import ServiceMetrics
@@ -62,14 +61,9 @@ def profile():
 
 
 @pytest.fixture
-def live_server():
-    server = make_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+def live_server(start_server):
+    server = start_server()
+    return server, server.url
 
 
 def _post(url, payload):
@@ -393,102 +387,136 @@ class TestTruncatedBody:
 
 
 class TestAdmissionHTTP:
-    def test_queue_overflow_sheds_with_429(self, profile):
-        server = make_server(host="127.0.0.1", port=0, max_inflight=1, max_queue=0)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            results = []
+    def test_queue_overflow_sheds_with_429(self, profile, start_server):
+        server = start_server(max_inflight=1, max_queue=0)
+        url = server.url
+        results = []
 
-            def slow_request():
-                results.append(
-                    _post(
-                        f"{url}/assess",
-                        {"profile": profile_to_json(profile), "tolerance": 0.1},
-                    )
-                )
-
-            with injected_faults(
-                [
-                    FaultRule(
-                        site="engine.compute",
-                        action="delay",
-                        delay_seconds=0.6,
-                        times=1,
-                    )
-                ]
-            ):
-                holder = threading.Thread(target=slow_request)
-                holder.start()
-                time.sleep(0.2)  # let it occupy the only compute slot
-                status, body, headers = _post_error(
+        def slow_request():
+            results.append(
+                _post(
                     f"{url}/assess",
-                    {"profile": profile_to_json(profile), "tolerance": 0.2},
+                    {"profile": profile_to_json(profile), "tolerance": 0.1},
                 )
-                holder.join(timeout=10)
-            assert status == 429
-            assert body["error"]["type"] == "QueueFullError"
-            assert int(headers["Retry-After"]) >= 1
-            assert server.engine.metrics.counter("shed") == 1
-            assert results and results[0][0] == 200
-            assert server.engine.metrics.gauge("inflight") == 0
-            assert server.engine.metrics.gauge("queued") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            )
 
-    def test_queued_deadline_request_times_out_with_503(self, profile):
-        server = make_server(host="127.0.0.1", port=0, max_inflight=1, max_queue=4)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            results = []
-
-            def slow_request():
-                results.append(
-                    _post(
-                        f"{url}/assess",
-                        {"profile": profile_to_json(profile), "tolerance": 0.1},
-                    )
+        with injected_faults(
+            [
+                FaultRule(
+                    site="engine.compute",
+                    action="delay",
+                    delay_seconds=0.6,
+                    times=1,
                 )
+            ]
+        ):
+            holder = threading.Thread(target=slow_request)
+            holder.start()
+            time.sleep(0.2)  # let it occupy the only compute slot
+            status, body, headers = _post_error(
+                f"{url}/assess",
+                {"profile": profile_to_json(profile), "tolerance": 0.2},
+            )
+            holder.join(timeout=10)
+        assert status == 429
+        assert body["error"]["type"] == "QueueFullError"
+        assert int(headers["Retry-After"]) >= 1
+        assert server.engine.metrics.counter("shed") == 1
+        assert results and results[0][0] == 200
+        assert server.engine.metrics.gauge("inflight") == 0
+        assert server.engine.metrics.gauge("queued") == 0
 
-            with injected_faults(
-                [
-                    FaultRule(
-                        site="engine.compute",
-                        action="delay",
-                        delay_seconds=0.8,
-                        times=1,
-                    )
-                ]
-            ):
-                holder = threading.Thread(target=slow_request)
-                holder.start()
-                time.sleep(0.2)
-                status, body, headers = _post_error(
+    def test_queued_deadline_request_times_out_with_503(self, profile, start_server):
+        server = start_server(max_inflight=1, max_queue=4)
+        url = server.url
+        results = []
+
+        def slow_request():
+            results.append(
+                _post(
                     f"{url}/assess",
-                    {
-                        "profile": profile_to_json(profile),
-                        "tolerance": 0.2,
-                        "deadline_seconds": 0.15,
-                    },
+                    {"profile": profile_to_json(profile), "tolerance": 0.1},
                 )
-                holder.join(timeout=10)
-            assert status == 503
-            assert body["error"]["type"] == "AdmissionTimeout"
-            assert "Retry-After" in headers
-            assert results and results[0][0] == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            )
+
+        with injected_faults(
+            [
+                FaultRule(
+                    site="engine.compute",
+                    action="delay",
+                    delay_seconds=0.8,
+                    times=1,
+                )
+            ]
+        ):
+            holder = threading.Thread(target=slow_request)
+            holder.start()
+            time.sleep(0.2)
+            status, body, headers = _post_error(
+                f"{url}/assess",
+                {
+                    "profile": profile_to_json(profile),
+                    "tolerance": 0.2,
+                    "deadline_seconds": 0.15,
+                },
+            )
+            holder.join(timeout=10)
+        assert status == 503
+        assert body["error"]["type"] == "AdmissionTimeout"
+        assert "Retry-After" in headers
+        assert results and results[0][0] == 200
+
+    def test_overload_beyond_admission_is_shed_and_healthz_stays_live(
+        self, start_server
+    ):
+        """Every excess request must reach admission control (and be
+        shed), and a liveness probe must not queue behind the overload."""
+        server = start_server(max_inflight=8, max_queue=0)
+        outcomes = []
+
+        def request(k):
+            payload = {
+                "profile": profile_to_json(
+                    FrequencyProfile({i: 40 * i + k for i in range(1, 21)}, 1000)
+                ),
+                "tolerance": 0.1,
+            }
+            try:
+                outcomes.append((_post(f"{server.url}/assess", payload)[0], {}))
+            except urllib.error.HTTPError as error:
+                with error:
+                    outcomes.append((error.code, dict(error.headers)))
+
+        with injected_faults(
+            [
+                FaultRule(
+                    site="engine.compute",
+                    action="delay",
+                    delay_seconds=1.5,
+                    times=None,
+                )
+            ]
+        ):
+            clients = [threading.Thread(target=request, args=(k,)) for k in range(9)]
+            for client in clients:
+                client.start()
+            time.sleep(0.4)  # eight computes are sleeping, one was shed
+            started = time.monotonic()
+            with urllib.request.urlopen(f"{server.url}/healthz", timeout=5) as reply:
+                assert json.loads(reply.read())["status"] == "ok"
+            healthz_seconds = time.monotonic() - started
+            for client in clients:
+                client.join(timeout=15)
+        statuses = sorted(status for status, _ in outcomes)
+        assert statuses == [200] * 8 + [429], statuses
+        shed_headers = [headers for status, headers in outcomes if status == 429]
+        assert int(shed_headers[0]["Retry-After"]) >= 1
+        assert healthz_seconds < 0.5, healthz_seconds
+        assert server.engine.metrics.counter("shed") == 1
 
 
 class TestBreakerHTTP:
-    def test_failure_streak_opens_then_half_open_recovers(self):
+    def test_failure_streak_opens_then_half_open_recovers(self, start_server):
         clock = FakeClock()
         metrics = ServiceMetrics()
         engine = AssessmentEngine(
@@ -497,41 +525,35 @@ class TestBreakerHTTP:
                 failure_threshold=2, cooldown_seconds=30.0, clock=clock, metrics=metrics
             ),
         )
-        server = make_server(host="127.0.0.1", port=0, engine=engine)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            def payload(k):
-                # distinct questions, so nothing is served from cache
-                return {
-                    "profile": profile_to_json(
-                        FrequencyProfile({i: 40 * i + k for i in range(1, 21)}, 1000)
-                    ),
-                    "tolerance": 0.1,
-                }
+        server = start_server(engine=engine)
+        url = server.url
 
-            with injected_faults(
-                [FaultRule(site="engine.compute", action="error", times=2)]
-            ):
-                for k in (0, 1):
-                    status, _, _ = _post_error(f"{url}/assess", payload(k))
-                    assert status == 500
-            assert metrics.gauge("breaker_state") == 1  # open
-            status, body, headers = _post_error(f"{url}/assess", payload(2))
-            assert status == 503
-            assert body["error"]["type"] == "CircuitOpenError"
-            assert int(headers["Retry-After"]) >= 1
-            assert metrics.counter("breaker_fast_fail") == 1
-            # cooldown elapses -> half-open probe succeeds -> closed again
-            clock.advance(30.0)
-            status, answer = _post(f"{url}/assess", payload(3))
-            assert status == 200 and answer["partial"] is False
-            assert metrics.gauge("breaker_state") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+        def payload(k):
+            # distinct questions, so nothing is served from cache
+            return {
+                "profile": profile_to_json(
+                    FrequencyProfile({i: 40 * i + k for i in range(1, 21)}, 1000)
+                ),
+                "tolerance": 0.1,
+            }
+
+        with injected_faults(
+            [FaultRule(site="engine.compute", action="error", times=2)]
+        ):
+            for k in (0, 1):
+                status, _, _ = _post_error(f"{url}/assess", payload(k))
+                assert status == 500
+        assert metrics.gauge("breaker_state") == 1  # open
+        status, body, headers = _post_error(f"{url}/assess", payload(2))
+        assert status == 503
+        assert body["error"]["type"] == "CircuitOpenError"
+        assert int(headers["Retry-After"]) >= 1
+        assert metrics.counter("breaker_fast_fail") == 1
+        # cooldown elapses -> half-open probe succeeds -> closed again
+        clock.advance(30.0)
+        status, answer = _post(f"{url}/assess", payload(3))
+        assert status == 200 and answer["partial"] is False
+        assert metrics.gauge("breaker_state") == 0
 
 
 class TestBatchCheckpointCrash:

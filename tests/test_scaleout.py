@@ -25,7 +25,6 @@ from repro.data.database import FrequencyProfile
 from repro.errors import ReproError
 from repro.io import profile_to_json
 from repro.service import AssessmentCache, AssessmentEngine, ServiceCore
-from repro.service.aio import AsyncAssessmentServer
 from repro.service.faults import InjectedCrash
 from repro.service.lease import (
     LeaseState,
@@ -41,7 +40,7 @@ from repro.service.loadgen import (
     request_stream,
     synthetic_profile,
 )
-from repro.service.server import make_server
+from repro.service.server import AssessmentServer
 from repro.recipe.assess import Decision, RiskAssessment
 
 
@@ -263,7 +262,7 @@ def _run(coroutine):
 
 async def _start_server(engine=None):
     core = ServiceCore(engine=engine) if engine is not None else None
-    server = AsyncAssessmentServer(core=core)
+    server = AssessmentServer(core=core)
     await server.start("127.0.0.1", 0)
     return server
 
@@ -418,61 +417,47 @@ class TestAsyncServer:
         _run(scenario())
 
 
-# -- threaded server keep-alive ---------------------------------------------
+# -- keep-alive through http.client ----------------------------------------
 
 
-class TestThreadedKeepAlive:
-    def test_connection_reused_across_requests(self, profile):
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", server.server_port, timeout=10
-            )
-            connection.request("GET", "/healthz")
-            first = connection.getresponse()
-            assert first.status == 200 and first.version == 11
-            first.read()
-            socket_before = connection.sock
-            assert socket_before is not None  # keep-alive left it open
-            body = json.dumps(
-                {"profile": profile_to_json(profile), "tolerance": 0.9}
-            )
-            connection.request(
-                "POST", "/assess", body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            second = connection.getresponse()
-            assert second.status == 200
-            second.read()
-            assert connection.sock is socket_before  # same TCP connection
-            connection.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+class TestKeepAlive:
+    def test_connection_reused_across_requests(self, profile, start_server):
+        server = start_server()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=10
+        )
+        connection.request("GET", "/healthz")
+        first = connection.getresponse()
+        assert first.status == 200 and first.version == 11
+        first.read()
+        socket_before = connection.sock
+        assert socket_before is not None  # keep-alive left it open
+        body = json.dumps(
+            {"profile": profile_to_json(profile), "tolerance": 0.9}
+        )
+        connection.request(
+            "POST", "/assess", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        second = connection.getresponse()
+        assert second.status == 200
+        second.read()
+        assert connection.sock is socket_before  # same TCP connection
+        connection.close()
 
-    def test_error_responses_carry_content_length(self):
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", server.server_port, timeout=10
-            )
-            for path, expected in (("/nope", 404), ("/assess", 405)):
-                connection.request("GET", path)
-                response = connection.getresponse()
-                declared = int(response.headers["Content-Length"])
-                data = response.read()
-                assert len(data) == declared
-                assert response.status in (404, expected)
-            connection.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+    def test_error_responses_carry_content_length(self, start_server):
+        server = start_server()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=10
+        )
+        for path, expected in (("/nope", 404), ("/assess", 405)):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            declared = int(response.headers["Content-Length"])
+            data = response.read()
+            assert len(data) == declared
+            assert response.status in (404, expected)
+        connection.close()
 
 
 # -- metrics extensions -----------------------------------------------------
@@ -610,8 +595,7 @@ def _get_metrics(port):
 
 @pytest.mark.faults
 class TestCrossProcessSingleFlight:
-    @pytest.mark.parametrize("flavor_args", [[], ["--async"]])
-    def test_two_replicas_one_cold_compute(self, tmp_path, profile, flavor_args):
+    def test_two_replicas_one_cold_compute(self, tmp_path, profile):
         """Two real server processes race one cold fingerprint: exactly
         one computes, both answer byte-identical assessments, one
         artifact lands in the shared directory."""
@@ -620,7 +604,7 @@ class TestCrossProcessSingleFlight:
         args = [
             "--port", "0", "--grace", "2",
             "--cache-dir", str(cache_dir), "--shared-cache",
-        ] + flavor_args
+        ]
         payload = {
             "profile": profile_to_json(profile),
             "tolerance": 0.9,
@@ -723,9 +707,15 @@ class TestCrossProcessSingleFlight:
             process.wait(timeout=15)
             process.stdout.close()
 
-    def test_async_flag_serves_and_shuts_down(self):
+
+@pytest.mark.faults
+class TestReproServeProcess:
+    def test_sigterm_with_idle_keep_alive_connection_exits_within_grace(self):
+        """An idle keep-alive client must not hold shutdown open: the
+        drain closes it and the process exits 0 within grace + 1 s."""
         env = _serve_env()
-        process = _spawn_server(["--port", "0", "--grace", "2", "--async"], env)
+        process = _spawn_server(["--port", "0", "--grace", "2"], env)
+        connection = None
         try:
             port = _await_port(process)
             connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
@@ -733,9 +723,48 @@ class TestCrossProcessSingleFlight:
             response = connection.getresponse()
             assert response.status == 200
             assert json.loads(response.read())["status"] == "ok"
+            assert connection.sock is not None  # left open and idle
+            process.send_signal(signal.SIGTERM)
+            started = time.monotonic()
+            try:
+                out, _ = process.communicate(timeout=3.0)
+            except subprocess.TimeoutExpired:
+                pytest.fail("repro-serve still running 3 s after SIGTERM")
+            assert time.monotonic() - started < 3.0
+        finally:
+            if connection is not None:
+                connection.close()
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert "shutting down" in out
+
+    def test_verbose_writes_one_access_line_per_request(self):
+        env = _serve_env()
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "from repro.cli import serve_main; "
+                "raise SystemExit(serve_main(['--port', '0', '--verbose']))",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            port = _await_port(process)
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            for path in ("/healthz", "/nope"):
+                connection.request("GET", path)
+                connection.getresponse().read()
             connection.close()
         finally:
             process.send_signal(signal.SIGTERM)
-            out, _ = process.communicate(timeout=15)
-        assert process.returncode == 0
-        assert "shutting down" in out
+            _, err = process.communicate(timeout=15)
+        access = [line for line in err.splitlines() if '"GET ' in line]
+        assert len(access) == 2, err
+        assert '"GET /healthz HTTP/1.1" 200' in access[0]
+        assert '"GET /nope HTTP/1.1" 404' in access[1]

@@ -1,6 +1,7 @@
 """Unit and end-to-end tests for the risk-assessment service layer."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -26,7 +27,6 @@ from repro.service import (
     AssessmentParams,
     ServiceMetrics,
     derived_seed,
-    make_server,
     profile_fingerprint,
     request_fingerprint,
 )
@@ -300,14 +300,8 @@ class TestMetrics:
 
 
 @pytest.fixture
-def live_server():
-    server = make_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+def live_server(start_server):
+    return start_server().url
 
 
 def _post(url, payload):
@@ -368,6 +362,37 @@ class TestServer:
             assert error.code == 404
             body = json.loads(error.read())
         assert body["error"]["type"] == "NotFound"
+
+    def test_expect_100_continue_gets_interim_reply(self, start_server, profile):
+        """A client that waits for ``100 Continue`` before sending its
+        body (curl does, for large bodies) must get it promptly."""
+        server = start_server()
+        body = json.dumps(
+            {"profile": profile_to_json(profile), "tolerance": 0.1}
+        ).encode()
+        head = (
+            b"POST /assess HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", server.server_port), timeout=1.0
+        ) as sock:
+            sock.sendall(head)
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                chunk = sock.recv(64)  # socket.timeout after 1 s of silence
+                assert chunk, "server closed before the interim reply"
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(30)
+            sock.sendall(body)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(response.split(b"\r\n\r\n", 1)[1])["cached"] is False
 
 
 class TestBatchCLI:
