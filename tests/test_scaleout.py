@@ -595,7 +595,10 @@ def _get_metrics(port):
 
 @pytest.mark.faults
 class TestCrossProcessSingleFlight:
-    def test_two_replicas_one_cold_compute(self, tmp_path, profile):
+    # The second case admits one compute at a time: the cross-process
+    # lease must single-flight the race whatever the in-process admission.
+    @pytest.mark.parametrize("flavor_args", [[], ["--max-inflight", "1"]])
+    def test_two_replicas_one_cold_compute(self, tmp_path, profile, flavor_args):
         """Two real server processes race one cold fingerprint: exactly
         one computes, both answer byte-identical assessments, one
         artifact lands in the shared directory."""
@@ -604,7 +607,7 @@ class TestCrossProcessSingleFlight:
         args = [
             "--port", "0", "--grace", "2",
             "--cache-dir", str(cache_dir), "--shared-cache",
-        ]
+        ] + flavor_args
         payload = {
             "profile": profile_to_json(profile),
             "tolerance": 0.9,
